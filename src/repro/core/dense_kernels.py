@@ -414,10 +414,20 @@ def bce_backward(
 def naive_dot_forward(
     stack: np.ndarray, tril: tuple[np.ndarray, np.ndarray], dense: np.ndarray
 ) -> np.ndarray:
-    """Reference: fresh gram matrix, fancy-index gather, concatenate."""
+    """Reference: fresh gram matrix, fancy-index gather, concatenate.
+
+    The fancy-indexed ``pairs`` come out F-ordered and ``concatenate``
+    keeps that layout, so the output is made C-ordered explicitly: the
+    next GEMM would otherwise take a different BLAS path than on the
+    fused backend's C-ordered buffer and round differently (1 ULP).
+    """
     gram = stack @ stack.transpose(0, 2, 1)
     pairs = gram[:, tril[0], tril[1]]
-    return np.concatenate([dense, pairs], axis=1)
+    out = np.empty(
+        (len(dense), dense.shape[1] + pairs.shape[1]),
+        dtype=np.result_type(dense, pairs),
+    )
+    return np.concatenate([dense, pairs], axis=1, out=out)
 
 
 def dot_forward(

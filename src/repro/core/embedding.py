@@ -13,13 +13,16 @@ up to 20M) and a dense gradient would be both wrong in spirit and infeasible
 in memory.
 
 Hot paths (pooling, coalescing, truncation, bounds checks) are implemented
-by the vectorized kernels in :mod:`repro.core.kernels`; features sharing a
-physical table are gathered in **one** batched pass
-(:meth:`EmbeddingTable.forward_batched`).
+by the vectorized kernels in :mod:`repro.core.kernels`.  The collection is
+*table-batched*: tables of one dim share one weight slab, and a batch is
+planned once (:meth:`EmbeddingBagCollection.plan_batch`) — one gather and
+one expand-and-coalesce per slab instead of one per table — while every
+table keeps its per-table interface as views into the slab and the plan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,9 @@ from .config import PoolingType, TableSpec
 __all__ = [
     "RaggedIndices",
     "SparseGrad",
+    "LookupPlan",
     "TablePlan",
+    "BatchPlan",
     "EmbeddingTable",
     "EmbeddingBagCollection",
     "hash_raw_ids",
@@ -161,33 +166,209 @@ class SparseGrad:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class TablePlan:
-    """Model-state-independent precompute of one fused table lookup.
+def _shifted(parts: list[np.ndarray], base: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """``parts`` laid end to end (part ``k`` at ``spans[k]:spans[k+1]``),
+    part ``k`` shifted by ``base[k]`` — written into one output array."""
+    if len(parts) == 1 and not base[0]:
+        return parts[0]
+    out = np.empty(int(spans[-1]), dtype=np.int64)
+    for part, shift, lo, hi in zip(parts, base.tolist(), spans[:-1], spans[1:]):
+        np.add(part, shift, out=out[lo:hi])
+    return out
 
-    Everything :meth:`EmbeddingTable.forward_batched` and
-    :meth:`EmbeddingTable.backward` need that does *not* depend on the
-    weights: the prepared (truncated, bounds-checked) index streams, the
-    fused multi-feature CSR layout, per-sample lengths, and the per-feature
-    backward :class:`~repro.core.kernels.CoalescePlan`.  A plan built on a
-    prefetch thread and applied later produces bit-identical results to the
-    inline path, because the inline path *is* ``plan_forward`` + apply —
-    one implementation, not two.
+
+@dataclass(frozen=True)
+class LookupPlan:
+    """Model-state-independent precompute of one fused pooled lookup.
+
+    A plan covers an ordered list of feature *slots*: the features of one
+    table (:meth:`EmbeddingTable.plan_forward`) or every feature whose
+    table lives in one weight slab (:meth:`EmbeddingBagCollection.
+    plan_batch`).  Everything the forward and backward need that does not
+    depend on the weights is here: the prepared (truncated,
+    bounds-checked) index streams, one CSR layout over all slots, and the
+    backward grouping.  A plan built on a prefetch thread and applied later
+    gives bit-identical results to the inline path, because the inline
+    path *is* plan + apply.
+
+    The backward grouping is **one** :class:`~repro.core.kernels.
+    CoalescePlan` keyed by ``(slot, row)``: slot ``k``'s ids are shifted by
+    ``key_base[k]`` so that every slot owns a disjoint, increasing key
+    range.  A stable sort by key is then the per-slot stable sort laid
+    end to end, so slot ``k``'s groups — a contiguous run of the
+    coalesced result — sum exactly what a per-feature coalesce would, in
+    the same order.  Planned with ``training=False`` (inference) the
+    grouping is skipped: ``grad``, ``slot_groups`` and ``rows`` are
+    ``None``.
     """
 
-    #: Prepared per-feature index streams (truncation + bounds applied).
+    #: Prepared per-slot index streams (truncation + bounds applied).
     prepared: tuple[RaggedIndices, ...]
-    #: Per-feature per-sample lookup counts (MEAN divisors / backward).
-    lengths: tuple[np.ndarray, ...]
-    #: Per-feature backward coalesce plans (stable argsort precomputed).
-    grad_plans: tuple[kernels.CoalescePlan, ...]
-    #: Fused CSR layout over all features (the single gather dispatch).
-    all_values: np.ndarray
-    all_offsets: np.ndarray
-    #: Split points of the fused pooled output; ``None`` for one feature.
-    split_bounds: np.ndarray | None
+    #: Fused CSR layout: column ids are rows of the weight the plan is
+    #: applied to (slot ids shifted by their table's first slab row).
+    values: np.ndarray
+    offsets: np.ndarray
+    #: Per fused sample lookup counts (MEAN divisors / backward).
+    lengths: np.ndarray
+    #: Slot ``k`` owns fused samples ``bounds[k]:bounds[k+1]``.
+    bounds: np.ndarray
+    #: Backward grouping over ``(slot, row)`` keys.
+    grad: kernels.CoalescePlan | None
+    #: Slot ``k`` owns coalesced groups ``slot_groups[k]:slot_groups[k+1]``.
+    slot_groups: np.ndarray | None
+    #: Table-local row id of every coalesced group.
+    rows: np.ndarray | None
+
+    @classmethod
+    def build(
+        cls,
+        prepared: list[RaggedIndices],
+        row_base: np.ndarray,
+        key_base: np.ndarray,
+        *,
+        training: bool = True,
+    ) -> "LookupPlan":
+        """Plan ``prepared`` (one stream per slot) against one weight.
+
+        ``row_base[k]`` is the first weight row of slot ``k``'s table and
+        ``key_base[k]`` the start of its backward key range (strictly
+        increasing, each range as long as its table).
+        """
+        spans = np.cumsum([0] + [p.total_lookups for p in prepared])
+        if len(prepared) == 1:
+            offsets = prepared[0].offsets
+        else:
+            offsets = np.concatenate(
+                [[0]] + [p.offsets[1:] + s for p, s in zip(prepared, spans)]
+            )
+        bounds = np.cumsum([0] + [p.batch_size for p in prepared])
+        keys = _shifted([p.values for p in prepared], key_base, spans)
+        values = (
+            keys if np.array_equal(row_base, key_base)
+            else _shifted([p.values for p in prepared], row_base, spans)
+        )
+        grad = slot_groups = rows = None
+        if training:
+            grad = kernels.coalesce_plan(keys)
+            slot_groups = np.concatenate(
+                [np.searchsorted(grad.rows, key_base), [len(grad.rows)]]
+            )
+            rows = _shifted(
+                [grad.rows[lo:hi] for lo, hi in zip(slot_groups, slot_groups[1:])],
+                -key_base, slot_groups,
+            )
+        return cls(
+            prepared=tuple(prepared),
+            values=values,
+            offsets=offsets,
+            lengths=np.diff(offsets),
+            bounds=bounds,
+            grad=grad,
+            slot_groups=slot_groups,
+            rows=rows,
+        )
+
+    def pool(self, weight: np.ndarray, pooling: PoolingType) -> list[np.ndarray]:
+        """Pooled lookups of every slot (one gather dispatch); a list of
+        ``(batch, dim)`` views into one result, in slot order."""
+        pooled = kernels.gather_pool(weight, self.values, self.offsets, check=False)
+        if pooling is PoolingType.MEAN:
+            pooled /= np.maximum(self.lengths, 1).astype(pooled.dtype)[:, None]
+        if len(self.prepared) == 1:
+            return [pooled]
+        return np.split(pooled, self.bounds[1:-1])
+
+    def _scaled(self, grad_out: np.ndarray, lo: int, hi: int, pooling) -> np.ndarray:
+        if pooling is PoolingType.MEAN:
+            divisor = np.maximum(self.lengths[lo:hi], 1).astype(grad_out.dtype)
+            grad_out = grad_out / divisor[:, None]
+        return grad_out
+
+    def backward(
+        self, grads: list[np.ndarray], weight: np.ndarray, pooling: PoolingType
+    ) -> list[SparseGrad | None]:
+        """Per-slot sparse gradients of ``weight`` from per-slot ``(batch,
+        dim)`` output gradients, computed with one stacked
+        expand-and-coalesce.
+
+        Each slot's :class:`SparseGrad` is a zero-copy view of the one
+        coalesced result; slots without lookups get ``None``.
+        """
+        if self.grad is None:
+            raise RuntimeError("backward through a lookup planned for inference")
+        dtype, dim = weight.dtype, weight.shape[1]
+        for p, g in zip(self.prepared, grads):
+            if g.shape != (p.batch_size, dim):
+                raise ValueError(f"grad shape {g.shape} != ({p.batch_size}, {dim})")
+        if len(grads) == 1:
+            stacked = np.asarray(grads[0], dtype=dtype)
+        else:
+            stacked = np.empty((self.bounds[-1], dim), dtype=dtype)
+            for k, g in enumerate(grads):
+                stacked[self.bounds[k] : self.bounds[k + 1]] = g
+        stacked = self._scaled(stacked, 0, len(stacked), pooling)
+        summed = kernels.expand_apply(self.grad, self.lengths, stacked)
+        out: list[SparseGrad | None] = []
+        for lo, hi in zip(self.slot_groups[:-1], self.slot_groups[1:]):
+            out.append(
+                SparseGrad(rows=self.rows[lo:hi], values=summed[lo:hi])
+                if hi > lo else None
+            )
+        return out
+
+    def slot_backward(
+        self, k: int, grad_out: np.ndarray, dtype: np.dtype, pooling: PoolingType
+    ) -> SparseGrad | None:
+        """Sparse gradient of slot ``k`` alone (the per-table backward).
+
+        Uses slot ``k``'s share of the grouping — its groups, its stretch
+        of the stable order re-based to the slot's own positions — which
+        equals ``coalesce_plan`` of the slot's stream, so the result is the
+        one :meth:`backward` produces for the slot.
+        """
+        if self.grad is None:
+            raise RuntimeError("backward through a lookup planned for inference")
+        lo, hi = self.slot_groups[k], self.slot_groups[k + 1]
+        if hi == lo:
+            return None
+        if len(self.prepared) == 1:
+            sub = self.grad  # key_base[0] is 0: the keys are the rows
+        else:
+            a, b = self.grad.indptr[lo], self.grad.indptr[hi]
+            sub = kernels.CoalescePlan(
+                rows=self.rows[lo:hi],
+                order=self.grad.order[a:b] - self.offsets[self.bounds[k]],
+                indptr=self.grad.indptr[lo : hi + 1] - a,
+            )
+        s0, s1 = self.bounds[k], self.bounds[k + 1]
+        grad_out = self._scaled(np.asarray(grad_out, dtype=dtype), s0, s1, pooling)
+        return SparseGrad(
+            rows=sub.rows, values=kernels.expand_apply(sub, self.lengths[s0:s1], grad_out)
+        )
+
+    def slot_rows(self, k: int) -> np.ndarray:
+        """Unique table rows slot ``k`` looked up (sorted ascending)."""
+        if self.grad is None:
+            raise RuntimeError("row plan of a lookup planned for inference")
+        return self.rows[self.slot_groups[k] : self.slot_groups[k + 1]]
+
+
+@dataclass(frozen=True)
+class TablePlan:
+    """One table's share of a :class:`LookupPlan`.
+
+    :meth:`EmbeddingTable.plan_forward` returns one over a plan of the
+    table's own; :meth:`EmbeddingBagCollection.plan_batch` returns one per
+    table as a view into its slab's plan.  Either way it names the
+    table's rows a batch will produce gradients for, and carries the
+    table's per-batch tier accounting.
+    """
+
+    lookup: LookupPlan
+    #: This table's feature slots in ``lookup``, in feature order.
+    slots: tuple[int, ...]
     #: Per-batch tier accounting captured at plan time (tiered tables only;
-    #: see :class:`repro.tiering.store.TieredEmbeddingTable.plan_forward`).
+    #: see :meth:`repro.tiering.store.TieredEmbeddingTable.observe_lookups`).
     tier_delta: object | None = None
 
     def touched_rows(self) -> np.ndarray:
@@ -200,12 +381,34 @@ class TablePlan:
         union.  Weight-independent, so the hybrid trainer can exchange the
         next batch's row plan while the current batch is still computing.
         """
-        nonempty = [g.rows for g in self.grad_plans if len(g.rows)]
+        nonempty = [
+            rows for rows in map(self.lookup.slot_rows, self.slots) if len(rows)
+        ]
         if not nonempty:
             return np.empty(0, dtype=np.int64)
         if len(nonempty) == 1:
             return nonempty[0]
         return np.unique(np.concatenate(nonempty))
+
+
+class BatchPlan(Mapping):
+    """Every lookup plan of one batch: one :class:`LookupPlan` per weight
+    slab, viewed as a mapping table name -> :class:`TablePlan`."""
+
+    def __init__(
+        self, lookups: tuple[LookupPlan, ...], tables: dict[str, TablePlan]
+    ) -> None:
+        self.lookups = lookups
+        self._tables = tables
+
+    def __getitem__(self, name: str) -> TablePlan:
+        return self._tables[name]
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self) -> int:
+        return len(self._tables)
 
 
 class EmbeddingTable:
@@ -215,6 +418,11 @@ class EmbeddingTable:
     sample, pool them (sum or mean), and return a ``(batch, dim)`` matrix.
     ``dtype`` selects the compute/storage precision (float64 default;
     float32 halves bandwidth — the paper's production precision, §VI).
+
+    ``storage``, when given, is a ``(hash_size, dim)`` array of that dtype
+    the table initializes in place and keeps as its ``weight`` — the
+    collection passes row ranges of its weight slab.  Initialization
+    consumes ``rng`` identically either way.
     """
 
     def __init__(
@@ -224,15 +432,25 @@ class EmbeddingTable:
         pooling: PoolingType = PoolingType.SUM,
         init_scale: float | None = None,
         dtype: np.dtype | type = np.float64,
+        storage: np.ndarray | None = None,
     ) -> None:
         self.spec = spec
         self.pooling = pooling
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(spec.dim)
         weight = rng.uniform(-scale, scale, size=(spec.hash_size, spec.dim))
-        self.weight = weight.astype(np.dtype(dtype), copy=False)
-        # A stack of forward contexts: shared tables are looked up once per
-        # feature, and the collection walks features in reverse on backward.
-        self._saved: list[tuple[RaggedIndices, np.ndarray, kernels.CoalescePlan]] = []
+        if storage is None:
+            self.weight = weight.astype(np.dtype(dtype), copy=False)
+        else:
+            if storage.shape != weight.shape or storage.dtype != np.dtype(dtype):
+                raise ValueError(
+                    f"storage {storage.shape} {storage.dtype} does not fit table "
+                    f"{spec.name} {weight.shape} {np.dtype(dtype)}"
+                )
+            storage[...] = weight
+            self.weight = storage
+        # A stack of (plan, slot) forward contexts: shared tables are looked
+        # up once per feature, and backward pops them in reverse.
+        self._saved: list[tuple[LookupPlan, int]] = []
         self.sparse_grads: list[SparseGrad] = []
 
     @property
@@ -271,6 +489,18 @@ class EmbeddingTable:
             )
         return indices
 
+    def observe_lookups(
+        self, prepared: list[RaggedIndices], *, training: bool
+    ) -> object | None:
+        """Plan-time hook over this table's prepared streams of one batch.
+
+        Called once per table per planned batch, in table order, with the
+        streams the kernel will gather.  The flat table keeps no stats;
+        :class:`repro.tiering.store.TieredEmbeddingTable` prices the
+        accesses and returns the batch's tier delta.
+        """
+        return None
+
     def forward(self, indices: RaggedIndices, *, training: bool = True) -> np.ndarray:
         """Pooled lookup; returns ``(batch, dim)``.
 
@@ -284,36 +514,24 @@ class EmbeddingTable:
     ) -> TablePlan:
         """Precompute everything about a lookup that the weights don't touch.
 
-        Truncation, bounds validation, the fused multi-feature CSR layout,
-        per-sample lengths and the backward coalesce plans are all pure
+        Truncation, bounds validation, the fused multi-feature CSR layout
+        and (``training=True`` only) the backward grouping are pure
         functions of the *indices* — this is the work the prefetch pipeline
-        (:mod:`repro.pipeline`) moves off the critical path.  ``training``
-        is unused here but part of the signature so stat-keeping subclasses
-        (the tiered store) can restrict accounting to training streams.
+        (:mod:`repro.pipeline`) moves off the critical path.  Inference
+        plans skip the backward grouping (a stable sort per lookup stream).
         """
         # _prepare validates bounds (or accepts the safe_bound certificate),
         # so the pooled product may skip its own check.
         prepared = [self._prepare(ind) for ind in features]
-        lengths = tuple(p.lengths() for p in prepared)
-        grad_plans = tuple(kernels.coalesce_plan(p.values) for p in prepared)
-        if len(prepared) == 1:
-            all_values = prepared[0].values
-            all_offsets = prepared[0].offsets
-            split_bounds = None
-        else:
-            all_values = np.concatenate([p.values for p in prepared])
-            shifts = np.cumsum([0] + [p.total_lookups for p in prepared])
-            all_offsets = np.concatenate(
-                [[0]] + [p.offsets[1:] + s for p, s in zip(prepared, shifts)]
-            )
-            split_bounds = np.cumsum([p.batch_size for p in prepared])[:-1]
+        n = len(prepared)
+        lookup = LookupPlan.build(
+            prepared,
+            np.zeros(n, dtype=np.int64),
+            np.arange(n, dtype=np.int64) * self.hash_size,
+            training=training,
+        )
         return TablePlan(
-            prepared=tuple(prepared),
-            lengths=lengths,
-            grad_plans=grad_plans,
-            all_values=all_values,
-            all_offsets=all_offsets,
-            split_bounds=split_bounds,
+            lookup, tuple(range(n)), self.observe_lookups(prepared, training=training)
         )
 
     def forward_batched(
@@ -328,17 +546,13 @@ class EmbeddingTable:
 
         All features' ragged layouts are concatenated into a single CSR
         layout and pooled with one :func:`repro.core.kernels.gather_pool`
-        product — the ``(total_lookups, dim)`` gathered-row temporary of
-        the gather-then-pool formulation is never materialized, and shared
-        tables pay one kernel dispatch per step regardless of how many
-        features map to them.  Saved forward contexts are pushed in
-        feature order, so :meth:`backward` (called in reverse feature
-        order by the collection) pops them correctly.
+        product.  Saved forward contexts are pushed in feature order, so
+        :meth:`backward` (called in reverse feature order) pops them
+        correctly.
 
         ``plan`` supplies the index-side precompute from an earlier
-        :meth:`plan_forward` (the pipelined path); without one, the plan is
-        built inline — the two paths share every instruction that touches
-        data, so pipelined and unpipelined runs are bit-identical.
+        :meth:`plan_forward` of this table; without one, the plan is built
+        inline — the two paths share every instruction that touches data.
 
         ``training=False`` (the inference fast path) skips pushing forward
         contexts entirely: nothing is saved, nothing needs discarding, and
@@ -346,63 +560,24 @@ class EmbeddingTable:
         """
         if plan is None:
             plan = self.plan_forward(features, training=training)
-        pooled_cat = kernels.gather_pool(
-            self.weight, plan.all_values, plan.all_offsets, check=False
-        )
-        if plan.split_bounds is None:
-            splits = [pooled_cat]
-        else:
-            splits = np.split(pooled_cat, plan.split_bounds)
-        outs: list[np.ndarray] = []
-        for p, lengths, gplan, pooled in zip(
-            plan.prepared, plan.lengths, plan.grad_plans, splits
-        ):
-            if self.pooling is PoolingType.MEAN:
-                divisor = np.maximum(lengths, 1).astype(pooled.dtype)
-                pooled = pooled / divisor[:, None]
-            if training:
-                self._saved.append((p, lengths, gplan))
-            outs.append(pooled)
-        return outs
+        lookup = plan.lookup
+        if training and lookup.grad is None:
+            raise ValueError("training forward needs a plan built with training=True")
+        if training:
+            self._saved.extend((lookup, k) for k in plan.slots)
+        return lookup.pool(self.weight, self.pooling)
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Scatter ``(batch, dim)`` output gradients back into touched rows."""
         if not self._saved:
             raise RuntimeError("backward called before forward")
-        indices, lengths, gplan = self._saved.pop()
-        if grad_out.shape != (indices.batch_size, self.dim):
-            raise ValueError(
-                f"grad shape {grad_out.shape} != ({indices.batch_size}, {self.dim})"
-            )
-        if not len(indices.values):
-            return
-        grad_out = np.asarray(grad_out, dtype=self.weight.dtype)
-        if self.pooling is PoolingType.MEAN:
-            divisor = np.maximum(lengths, 1).astype(self.weight.dtype)[:, None]
-            grad_out = grad_out / divisor
-        summed = kernels.expand_apply(gplan, lengths, grad_out)
-        self.sparse_grads.append(SparseGrad(rows=gplan.rows, values=summed))
-
-    def adopt_weight(self, storage: np.ndarray) -> None:
-        """Swap the table's weight for externally-owned storage (zero copy).
-
-        The hybrid-parallel trainer (:mod:`repro.distributed.mp`) backs
-        every table with a ``multiprocessing.shared_memory`` segment: all
-        worker processes read rows straight out of the shared mapping, and
-        the shard's owner writes sparse updates into it.  ``storage`` must
-        match the existing weight's shape and dtype exactly — values are
-        *not* copied, the caller is responsible for initializing them.
-        """
-        storage = np.asarray(storage)
-        if storage.shape != self.weight.shape:
-            raise ValueError(
-                f"adopted storage shape {storage.shape} != {self.weight.shape}"
-            )
-        if storage.dtype != self.weight.dtype:
-            raise ValueError(
-                f"adopted storage dtype {storage.dtype} != {self.weight.dtype}"
-            )
-        self.weight = storage
+        lookup, k = self._saved.pop()
+        batch = lookup.prepared[k].batch_size
+        if grad_out.shape != (batch, self.dim):
+            raise ValueError(f"grad shape {grad_out.shape} != ({batch}, {self.dim})")
+        grad = lookup.slot_backward(k, grad_out, self.weight.dtype, self.pooling)
+        if grad is not None:
+            self.sparse_grads.append(grad)
 
     def zero_grad(self) -> None:
         self.sparse_grads.clear()
@@ -421,19 +596,64 @@ class EmbeddingTable:
         return grad
 
 
+@dataclass
+class _Slab:
+    """Tables of one embedding dim stored as one weight array."""
+
+    weight: np.ndarray
+    #: ``(table name, first row)`` in storage (config) order.
+    tables: list[tuple[str, int]]
+    #: Feature slots in lookup order, their tables' first rows and their
+    #: backward key bases.
+    features: list[str]
+    row_base: np.ndarray
+    key_base: np.ndarray
+
+
+def _slab_groups(specs: tuple[TableSpec, ...]) -> list[list[TableSpec]]:
+    """Specs grouped by dim in first-appearance order (config order within)."""
+    groups: dict[int, list[TableSpec]] = {}
+    for spec in specs:
+        groups.setdefault(spec.dim, []).append(spec)
+    return list(groups.values())
+
+
 class EmbeddingBagCollection:
-    """All embedding tables of a model, with optional table sharing.
+    """All embedding tables of a model, table-batched.
+
+    **Storage.** Tables of one dim live in one weight slab, back to back
+    in config order; each table's ``weight`` is a row-range view of it and
+    its initialization writes straight into that view (rng consumed in
+    config order, exactly as for standalone tables).  A collection of
+    mixed dims gets one slab per dim.
+
+    **One plan per batch.** :meth:`plan_batch` shifts every feature's ids
+    by its table's first slab row and builds one :class:`LookupPlan` per
+    slab: one CSR layout, so the forward is one
+    :func:`~repro.core.kernels.gather_pool` per slab, and one
+    ``(feature slot, row)``-keyed coalesce, so the backward is one
+    :func:`~repro.core.kernels.expand_apply` per slab.  On a 120-table
+    batch that replaces 120 CSR builds, stable sorts and expand dispatches
+    (``docs/perf_notes.md``).
+
+    **Per-table interfaces stay.** The backward hands each table its
+    per-feature :class:`SparseGrad` slices (zero-copy views of the one
+    coalesced result) in reverse feature order, so ``pop_grad`` merges a
+    shared table's features exactly as the per-table path does, and
+    optimizers, tier accounting and the hybrid trainer keep working per
+    table.  Results are bit-identical to the per-table path.  The sparse
+    optimizer stays per table too: one slab-wide Adagrad update measured
+    slower (~12 ms vs ~10.5 ms on the 120-table benchmark batch).
 
     ``feature_to_table`` lets several semantically-similar sparse features
     share one physical table (paper §III-A.2); by default each feature owns
-    its own table.  Features mapped to the same physical table are looked
-    up through the batched fast path — one fused gather per table per step.
+    its own table.
 
     ``table_factory`` swaps the table implementation — e.g.
     :class:`repro.tiering.store.TieredEmbeddingTable` for the two-tier
-    store — and must accept the same ``(spec, rng, pooling=, dtype=)``
-    signature and consume rng identically (any drop-in subclass of
-    :class:`EmbeddingTable` does).
+    store — and must accept the same ``(spec, rng, pooling=, dtype=,
+    storage=)`` signature and consume rng identically (any drop-in
+    subclass of :class:`EmbeddingTable` does).
     """
 
     def __init__(
@@ -454,71 +674,170 @@ class EmbeddingBagCollection:
         if table_factory is None:
             table_factory = EmbeddingTable
         self.specs = specs
+        self.pooling = pooling
         self.feature_to_table = dict(feature_to_table)
-        self.tables: dict[str, EmbeddingTable] = {
-            s.name: table_factory(s, rng, pooling=pooling, dtype=dtype) for s in specs
-        }
         self.feature_names = list(feature_to_table.keys())
         # Features grouped by physical table, preserving feature order within
-        # each group — the unit of the fused multi-feature gather.
-        self._table_groups: list[tuple[str, list[str]]] = []
+        # each group — the plan-time table order.
         by_table: dict[str, list[str]] = {}
         for feature in self.feature_names:
             by_table.setdefault(self.feature_to_table[feature], []).append(feature)
         self._table_groups = list(by_table.items())
 
+        dtype = np.dtype(dtype)
+        spec_of = {s.name: s for s in specs}
+        self._slabs: list[_Slab] = []
+        storage: dict[str, np.ndarray] = {}
+        for group in _slab_groups(specs):
+            starts = np.cumsum([0] + [s.hash_size for s in group])
+            weight = np.empty((int(starts[-1]), group[0].dim), dtype=dtype)
+            first_row = {s.name: int(r) for s, r in zip(group, starts)}
+            for s in group:
+                first = first_row[s.name]
+                storage[s.name] = weight[first : first + s.hash_size]
+            features = [
+                f for t, fs in self._table_groups if t in first_row for f in fs
+            ]
+            sizes = [spec_of[feature_to_table[f]].hash_size for f in features]
+            self._slabs.append(_Slab(
+                weight=weight,
+                tables=list(first_row.items()),
+                features=features,
+                row_base=np.array(
+                    [first_row[feature_to_table[f]] for f in features], dtype=np.int64
+                ),
+                key_base=np.cumsum([0] + sizes[:-1]).astype(np.int64),
+            ))
+        self.tables: dict[str, EmbeddingTable] = {
+            s.name: table_factory(
+                s, rng, pooling=pooling, dtype=dtype, storage=storage[s.name]
+            )
+            for s in specs
+        }
+        # Slabs some feature looks up (a slab of unused tables plans nothing).
+        self._lookup_slabs = [s for s in self._slabs if s.features]
+        self._slot_of = {
+            f: (i, k)
+            for i, slab in enumerate(self._lookup_slabs)
+            for k, f in enumerate(slab.features)
+        }
+        self._saved: list[BatchPlan] = []
+
+    @staticmethod
+    def storage_order(specs: tuple[TableSpec, ...]) -> list[str]:
+        """Table names in slab storage order (slab after slab; config order
+        within a slab) — the layout :meth:`adopt_storage` expects."""
+        return [s.name for group in _slab_groups(specs) for s in group]
+
+    def adopt_storage(self, buffer) -> None:
+        """Rebind every slab, and each table's weight view, onto external
+        memory (zero copy; values are *not* copied).
+
+        ``buffer`` holds the slabs back to back — each table's rows in
+        :meth:`storage_order`, C order, this collection's dtype.  The
+        hybrid-parallel trainer (:mod:`repro.distributed.mp`) passes one
+        ``multiprocessing.shared_memory`` segment, so every worker reads
+        rows straight out of shared memory and a table's owner writes its
+        sparse updates into it.
+        """
+        need = sum(slab.weight.nbytes for slab in self._slabs)
+        if memoryview(buffer).nbytes < need:
+            raise ValueError(
+                f"adopted buffer holds {memoryview(buffer).nbytes} bytes, "
+                f"slabs need {need}"
+            )
+        offset = 0
+        for slab in self._slabs:
+            weight = np.ndarray(
+                slab.weight.shape, dtype=slab.weight.dtype, buffer=buffer, offset=offset
+            )
+            offset += weight.nbytes
+            slab.weight = weight
+            for name, first in slab.tables:
+                table = self.tables[name]
+                table.weight = weight[first : first + table.hash_size]
+
     def plan_batch(
         self, batch: dict[str, RaggedIndices], *, training: bool = True
-    ) -> dict[str, TablePlan]:
-        """Precompute every table's :class:`TablePlan` for one batch.
+    ) -> BatchPlan:
+        """Precompute one batch's lookup: one :class:`LookupPlan` per slab.
 
-        Walks the table groups in the same order as :meth:`forward`, so a
-        plan built ahead of time (on the prefetch thread) touches streams
-        and stat-keeping subclass state in exactly the inline order.
-        Returns table name -> plan.
+        Tables are prepared and observed (tier accounting) in table-group
+        order, so a plan built ahead of time (on the prefetch thread)
+        touches streams and stat-keeping subclass state in exactly the
+        inline order.  ``training=False`` skips the backward grouping.
         """
         missing = set(self.feature_names) - set(batch.keys())
         if missing:
             raise KeyError(f"batch is missing sparse features: {sorted(missing)}")
-        return {
-            table_name: self.tables[table_name].plan_forward(
-                [batch[f] for f in features], training=training
+        prepared: dict[str, RaggedIndices] = {}
+        deltas: dict[str, object | None] = {}
+        for table_name, features in self._table_groups:
+            table = self.tables[table_name]
+            streams = [table._prepare(batch[f]) for f in features]
+            prepared.update(zip(features, streams))
+            deltas[table_name] = table.observe_lookups(streams, training=training)
+        lookups = tuple(
+            LookupPlan.build(
+                [prepared[f] for f in slab.features],
+                slab.row_base,
+                slab.key_base,
+                training=training,
             )
-            for table_name, features in self._table_groups
-        }
+            for slab in self._lookup_slabs
+        )
+        tables: dict[str, TablePlan] = {}
+        for table_name, features in self._table_groups:
+            i, _ = self._slot_of[features[0]]
+            slots = tuple(self._slot_of[f][1] for f in features)
+            tables[table_name] = TablePlan(lookups[i], slots, deltas[table_name])
+        return BatchPlan(lookups, tables)
 
     def forward(
         self,
         batch: dict[str, RaggedIndices],
         *,
         training: bool = True,
-        plans: dict[str, TablePlan] | None = None,
+        plans: BatchPlan | None = None,
     ) -> dict[str, np.ndarray]:
         """Look up every feature; returns feature name -> (batch, dim).
 
-        ``plans`` (from an earlier :meth:`plan_batch`) skips the per-table
-        index precompute — the pipelined path.
+        ``plans`` (from an earlier :meth:`plan_batch`) skips the index
+        precompute — the pipelined path.
         """
-        missing = set(self.feature_names) - set(batch.keys())
-        if missing:
-            raise KeyError(f"batch is missing sparse features: {sorted(missing)}")
+        if plans is None:
+            plans = self.plan_batch(batch, training=training)
+        elif training and any(lk.grad is None for lk in plans.lookups):
+            raise ValueError("training forward needs a plan built with training=True")
         out: dict[str, np.ndarray] = {}
-        for table_name, features in self._table_groups:
-            table = self.tables[table_name]
-            pooled = table.forward_batched(
-                [batch[f] for f in features],
-                training=training,
-                plan=None if plans is None else plans[table_name],
-            )
-            for feature, vec in zip(features, pooled):
-                out[feature] = vec
+        for slab, lookup in zip(self._lookup_slabs, plans.lookups):
+            out.update(zip(slab.features, lookup.pool(slab.weight, self.pooling)))
+        if training:
+            self._saved.append(plans)
         return out
 
     def backward(self, grads: dict[str, np.ndarray]) -> None:
-        # Reverse order mirrors forward bookkeeping for shared tables.
+        if not self._saved:
+            raise RuntimeError("backward called before forward")
+        plans = self._saved.pop()
+        per_slot = [
+            lookup.backward([grads[f] for f in slab.features], slab.weight, self.pooling)
+            for slab, lookup in zip(self._lookup_slabs, plans.lookups)
+        ]
+        # Reverse feature order: a shared table receives its features'
+        # gradients in the order the per-table backward produced them, so
+        # pop_grad merges them with the same association.
         for feature in reversed(self.feature_names):
-            table = self.tables[self.feature_to_table[feature]]
-            table.backward(grads[feature])
+            i, k = self._slot_of[feature]
+            grad = per_slot[i][k]
+            if grad is not None:
+                self.tables[self.feature_to_table[feature]].sparse_grads.append(grad)
+
+    def discard_forward_state(self) -> None:
+        """Drop saved forward contexts whose backward will never run."""
+        self._saved.clear()
+        for table in self.tables.values():
+            table._saved.clear()
 
     def zero_grad(self) -> None:
         for table in self.tables.values():

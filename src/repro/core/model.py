@@ -98,9 +98,10 @@ class DLRM:
             # Lazy import: repro.tiering depends on repro.core, not vice versa.
             from ..tiering.store import TieredEmbeddingTable
 
-            def table_factory(spec, table_rng, pooling, dtype):
+            def table_factory(spec, table_rng, pooling, dtype, storage):
                 return TieredEmbeddingTable(
-                    spec, table_rng, pooling=pooling, dtype=dtype, tiering=tiering
+                    spec, table_rng, pooling=pooling, dtype=dtype,
+                    storage=storage, tiering=tiering,
                 )
 
         self.embeddings = EmbeddingBagCollection(
@@ -161,8 +162,8 @@ class DLRM:
             batch.dense.astype(self.dtype, copy=False), training=training
         )
         # Prefetch-pipelined batches (repro.pipeline.PreparedBatch) carry the
-        # precomputed per-table lookup plans; plain batches don't, and the
-        # collection rebuilds them inline from the same code path.
+        # precomputed batch lookup plan; plain batches don't, and the
+        # collection builds it inline from the same code path.
         emb_out = self.embeddings.forward(
             batch.sparse, training=training, plans=getattr(batch, "plans", None)
         )
@@ -208,13 +209,12 @@ class DLRM:
         backward will never run (e.g. numeric gradient checks that probe
         ``forward`` directly).
 
-        Embedding tables stack forward contexts (to support shared tables),
-        so such forwards must clear them or the stack grows.  Inference
-        callers should prefer ``forward(training=False)``, which never
-        saves state in the first place.
+        The embedding collection stacks forward contexts (one plan per
+        forward), so such forwards must clear them or the stack grows.
+        Inference callers should prefer ``forward(training=False)``, which
+        never saves state in the first place.
         """
-        for table in self.embeddings.tables.values():
-            table._saved.clear()
+        self.embeddings.discard_forward_state()
         if hasattr(self.interaction, "_stack"):
             self.interaction._stack = None
         if hasattr(self.interaction, "_dense_width"):

@@ -176,9 +176,10 @@ class Adagrad(_OptimizerBase):
     def adopt_table_state(self, idx: int, state: np.ndarray) -> None:
         """Swap table ``idx``'s accumulator for externally-owned storage.
 
-        Mirror of :meth:`EmbeddingTable.adopt_weight` for the optimizer
-        state: the mp shard owner keeps each table's Adagrad accumulator in
-        the same shared-memory segment family as its weights, so a restarted
+        Counterpart of :meth:`~repro.core.embedding.EmbeddingBagCollection.
+        adopt_storage` for the optimizer state: the mp shard owner keeps
+        each table's Adagrad accumulator in a shared-memory segment laid out
+        like the weight segment, so a restarted
         or co-located process sees one consistent (weight, accumulator)
         pair.  Shape/dtype must match; values are not copied.
         """

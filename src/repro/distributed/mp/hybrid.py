@@ -51,7 +51,12 @@ import numpy as np
 
 from ...core import DLRM, Adagrad, Batch
 from ...core.config import ModelConfig
-from ...core.embedding import RaggedIndices, SparseGrad, TablePlan
+from ...core.embedding import (
+    BatchPlan,
+    EmbeddingBagCollection,
+    RaggedIndices,
+    SparseGrad,
+)
 from ...core.kernels import CoalescePlan, coalesce_apply, coalesce_plan
 from ...core.loss import BCEWithLogitsLoss
 from ...core.mlp import Linear
@@ -580,7 +585,7 @@ class _SparsePipeline:
         self._merged: dict[int, dict[str, SparseGrad | None]] = {}
 
     def submit_idplan(
-        self, reducer: GradReducer, gstep: int, plans: dict[str, TablePlan]
+        self, reducer: GradReducer, gstep: int, plans: BatchPlan
     ) -> None:
         reducer.submit_job(
             lambda: self._idplan_job(gstep, plans), stage="idplan_exchange"
@@ -597,7 +602,7 @@ class _SparsePipeline:
         """Collect step ``gstep``'s merged owner grads (call after flush)."""
         return self._merged.pop(gstep)
 
-    def _idplan_job(self, gstep: int, plans: dict[str, TablePlan]) -> None:
+    def _idplan_job(self, gstep: int, plans: BatchPlan) -> None:
         rank, world = self.rank, self.world
         rows_local = {name: plans[name].touched_rows() for name in plans}
         by_rank: list[dict[str, np.ndarray] | None] = [None] * world
@@ -731,8 +736,7 @@ def _worker_main(
     model, loss_fn = _build_replica(config, run)
     # Zero-copy shard adoption: every rank reads all tables straight out of
     # shared memory; only owned tables are ever written by this rank.
-    for name in (t.name for t in config.tables):
-        model.embeddings.tables[name].adopt_weight(shards.view(name, "weight"))
+    model.embeddings.adopt_storage(shards.buffer("weight"))
     owned = plan.owned(rank)
     optimizer = Adagrad(
         model.dense_parameters(),
@@ -1211,15 +1215,17 @@ def run_hybrid(
         pathlib.Path(run.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     plan = ShardPlan.greedy(config, world)
     order = [t.name for t in config.tables]
+    # Segment layout == the replicas' slab layout, so workers adopt it whole.
+    layout = EmbeddingBagCollection.storage_order(config.tables)
     if resume is not None:
         shards = TableShards.create(
-            {name: resume.table_weights[name] for name in order},
-            accums={name: resume.table_accums[name] for name in order},
+            {name: resume.table_weights[name] for name in layout},
+            accums={name: resume.table_accums[name] for name in layout},
         )
     else:
         init_model, _ = _build_replica(config, run)
         shards = TableShards.create(
-            {name: init_model.embeddings.tables[name].weight for name in order}
+            {name: init_model.embeddings.tables[name].weight for name in layout}
         )
         del init_model
     start = resume.step if resume is not None else 0

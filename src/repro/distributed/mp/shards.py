@@ -1,12 +1,16 @@
 """Shared-memory embedding shards and their placement plan.
 
-Every embedding table (weights *and* Adagrad accumulator) lives in a
-``multiprocessing.shared_memory`` segment created — and, crucially,
-unlinked — by the parent process.  Workers inherit the mapping through
-``fork`` and wrap zero-copy ndarray views around it: all ranks read rows
-straight out of shared memory during the forward pass (this is what
-replaces the all-to-all of a message-passing design), while sparse
-updates to a table are applied only by the one rank that owns it.
+All embedding tables live in two ``multiprocessing.shared_memory``
+segments — one for the weights, one for the Adagrad accumulators — laid
+out like the model's weight slabs (tables back to back in
+:meth:`~repro.core.embedding.EmbeddingBagCollection.storage_order`), and
+created — and, crucially, unlinked — by the parent process.  Workers
+inherit the mapping through ``fork``; each adopts the whole weight segment
+as its slabs with one call (:meth:`~repro.core.embedding.
+EmbeddingBagCollection.adopt_storage`): all ranks read rows straight out of
+shared memory during the forward pass (this is what replaces the
+all-to-all of a message-passing design), while sparse updates to a table
+are applied only by the one rank that owns it.
 
 Lifecycle contract (pinned by ``tests/test_mp_shm.py``): the parent is the
 sole owner of ``unlink``.  Segments are removed in a ``finally`` whether
@@ -75,16 +79,18 @@ class ShardPlan:
 class TableShards:
     """All embedding shards of one hybrid run, in named shared memory.
 
-    ``create`` builds two segments per table — ``weight`` initialized from
-    the seeded model (so every process sees the same init the serial
-    trainer would produce) and ``accum`` zeroed for the Adagrad state —
-    under explicit names carrying the parent pid and a run counter, which
-    the lifecycle tests use to detect leaks.
+    ``create`` builds two segments — ``weight`` initialized from the
+    seeded model (so every process sees the same init the serial trainer
+    would produce) and ``accum`` zeroed for the Adagrad state — each
+    holding every table back to back in the given order, under explicit
+    names carrying the parent pid and a run counter, which the lifecycle
+    tests use to detect leaks.
     """
 
     def __init__(self) -> None:
-        self._segments: dict[tuple[str, str], shared_memory.SharedMemory] = {}
-        self._shapes: dict[str, tuple[int, int]] = {}
+        self._segments: dict[str, shared_memory.SharedMemory] = {}
+        #: table name -> (shape, byte offset) within each segment
+        self._layout: dict[str, tuple[tuple[int, int], int]] = {}
         self._dtype: np.dtype | None = None
         self._owner_pid = os.getpid()
 
@@ -96,39 +102,51 @@ class TableShards:
     ) -> "TableShards":
         """Allocate and initialize segments from ``table name -> weights``.
 
-        ``accums`` optionally seeds the Adagrad accumulator segments (the
+        Tables are laid out back to back in ``weights``' order (pass
+        :meth:`~repro.core.embedding.EmbeddingBagCollection.storage_order`
+        to make the weight segment adoptable as a model's slabs).
+        ``accums`` optionally seeds the Adagrad accumulator segment (the
         checkpoint-restore path); absent tables get zeroed accumulators,
         exactly like a fresh run.
         """
         shards = cls()
         accums = accums or {}
         run_id = next(_SEGMENT_COUNTER)
+        offset = 0
+        for name, weight in weights.items():
+            if shards._dtype is None:
+                shards._dtype = weight.dtype
+            shards._layout[name] = (weight.shape, offset)
+            offset += weight.nbytes
         try:
-            for idx, (name, weight) in enumerate(weights.items()):
-                if shards._dtype is None:
-                    shards._dtype = weight.dtype
-                shards._shapes[name] = weight.shape
-                for kind, init in (("weight", weight), ("accum", accums.get(name))):
-                    seg = shared_memory.SharedMemory(
-                        create=True,
-                        size=weight.nbytes,
-                        name=f"repro_mp_{os.getpid()}_{run_id}_{idx}_{kind}",
-                    )
-                    shards._segments[(name, kind)] = seg
-                    view = np.ndarray(weight.shape, dtype=weight.dtype, buffer=seg.buf)
-                    if init is None:
+            for kind, init in (("weight", weights), ("accum", accums)):
+                shards._segments[kind] = shared_memory.SharedMemory(
+                    create=True,
+                    size=offset,
+                    name=f"repro_mp_{os.getpid()}_{run_id}_{kind}",
+                )
+                for name in weights:
+                    view = shards.view(name, kind)
+                    if init.get(name) is None:
                         view.fill(0.0)
                     else:
-                        view[...] = init
+                        view[...] = init[name]
         except BaseException:
             shards.close()
             raise
         return shards
 
+    def buffer(self, kind: str = "weight") -> memoryview:
+        """A whole segment: every table back to back, in creation order."""
+        return self._segments[kind].buf
+
     def view(self, name: str, kind: str = "weight") -> np.ndarray:
-        """Zero-copy ndarray over a segment (valid in parent and children)."""
-        seg = self._segments[(name, kind)]
-        return np.ndarray(self._shapes[name], dtype=self._dtype, buffer=seg.buf)
+        """Zero-copy ndarray over one table's rows of a segment (valid in
+        parent and children)."""
+        shape, offset = self._layout[name]
+        return np.ndarray(
+            shape, dtype=self._dtype, buffer=self._segments[kind].buf, offset=offset
+        )
 
     def digest(self, name: str, kind: str = "weight") -> str:
         """sha256 over a segment's current bytes (checkpoint verification)."""

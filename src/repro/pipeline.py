@@ -10,9 +10,9 @@ changing a single bit of the result.
 
 :class:`PrefetchPipeline` does exactly that: a background prep thread pulls
 batches from the source iterator (in order — the stream's rng consumption
-is untouched), builds every table's
-:class:`~repro.core.embedding.TablePlan` via the *same*
-``plan_forward`` code path the inline trainer uses, and hands
+is untouched), builds the batch's
+:class:`~repro.core.embedding.BatchPlan` via the *same*
+``plan_batch`` code path the inline trainer uses, and hands
 :class:`PreparedBatch` objects to the consumer through a bounded two-slot
 buffer.  Bit-identity with the unpipelined run is therefore by
 construction, not by test alone (though ``tests/test_pipeline.py`` pins it
@@ -48,7 +48,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core.embedding import TablePlan
+from .core.embedding import BatchPlan
 from .core.model import Batch
 from .obs.tracer import NULL_TRACER
 from .runtime.runner import release_core, reserve_core
@@ -142,7 +142,8 @@ class PreparedBatch:
 
     Duck-types the batch surface the model and trainer touch (``dense``,
     ``sparse``, ``labels``, ``size``, ``total_lookups``) and carries
-    ``plans`` — table name -> :class:`~repro.core.embedding.TablePlan` —
+    ``plans`` — a :class:`~repro.core.embedding.BatchPlan` (also a
+    mapping table name -> :class:`~repro.core.embedding.TablePlan`) —
     which :meth:`repro.core.model.DLRM.forward` picks up via
     ``getattr(batch, "plans", None)``.
     """
@@ -152,7 +153,7 @@ class PreparedBatch:
     def __init__(
         self,
         batch: Batch,
-        plans: dict[str, TablePlan] | None,
+        plans: BatchPlan | None,
         seq: int = 0,
     ) -> None:
         self.batch = batch
@@ -253,7 +254,7 @@ class PrefetchPipeline:
 
     Wraps a batch iterator; iterating the pipeline yields
     :class:`PreparedBatch` objects in exactly the source order.  ``plan_fn``
-    maps a batch to its per-table plans (typically
+    maps a batch to its lookup plan (typically
     ``lambda b: collection.plan_batch(b.sparse)``); ``None`` prefetches
     batches without planning (generation-only overlap).
 
@@ -267,7 +268,7 @@ class PrefetchPipeline:
     def __init__(
         self,
         source: Iterator[Batch],
-        plan_fn: Callable[[Batch], dict[str, TablePlan]] | None = None,
+        plan_fn: Callable[[Batch], BatchPlan] | None = None,
         config: PipelineConfig | None = None,
         tracer=None,
         stage: str = "prep",

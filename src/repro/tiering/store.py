@@ -22,12 +22,12 @@ chunk migration into :class:`TierStats`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.config import PoolingType, TableSpec
-from ..core.embedding import EmbeddingTable, RaggedIndices, TablePlan
+from ..core.embedding import EmbeddingTable, RaggedIndices
 from ..hardware.memory import DRAM_TIER, SCM_TIER, MemoryTierSpec
 from .costs import TierCostModel
 from .freq import FreqStats
@@ -176,9 +176,13 @@ class TieredEmbeddingTable(EmbeddingTable):
         pooling: PoolingType = PoolingType.SUM,
         init_scale: float | None = None,
         dtype: np.dtype | type = np.float64,
+        storage: np.ndarray | None = None,
         tiering: TieredStoreConfig | None = None,
     ) -> None:
-        super().__init__(spec, rng, pooling=pooling, init_scale=init_scale, dtype=dtype)
+        super().__init__(
+            spec, rng, pooling=pooling, init_scale=init_scale, dtype=dtype,
+            storage=storage,
+        )
         self.tiering = tiering if tiering is not None else TieredStoreConfig()
         cfg = self.tiering
         self.chunk_rows = cfg.chunk_rows
@@ -211,7 +215,7 @@ class TieredEmbeddingTable(EmbeddingTable):
         This is the whole tiering mechanism: frequency bookkeeping, the
         chunk-id pass through the hot-tier cache (hits stay hot, misses
         are served cold and considered for promotion), and the simulated
-        cost of each outcome.  ``forward_batched`` calls it on the
+        cost of each outcome.  :meth:`observe_lookups` calls it on the
         training path; the tier sweep drives it directly.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -248,20 +252,19 @@ class TieredEmbeddingTable(EmbeddingTable):
                 else:
                     stats.rejected += 1
 
-    def plan_forward(
-        self, features: list[RaggedIndices], *, training: bool = True
-    ) -> TablePlan:
+    def observe_lookups(
+        self, prepared: list[RaggedIndices], *, training: bool
+    ) -> TierStats | None:
         # Account on the *prepared* (truncated, bounds-checked) stream so
         # priced lookups match what the kernel actually gathers.  Accounting
-        # happens at *plan* time: inline forwards build their plan right
-        # here (same stream order as before), while the prefetch pipeline
-        # builds plans ahead on its prep thread — the captured per-batch
-        # ``tier_delta`` lets the Trainer publish stats for the batch it is
-        # actually stepping, not whatever the prep thread touched since.
-        plan = super().plan_forward(features, training=training)
-        if training:
-            before = self.stats.snapshot()
-            for p in plan.prepared:
-                self.record_accesses(p.values)
-            plan = replace(plan, tier_delta=self.stats.delta(before))
-        return plan
+        # happens at *plan* time: inline forwards plan right before they
+        # gather, while the prefetch pipeline plans ahead on its prep
+        # thread — the returned per-batch delta (the plan's ``tier_delta``)
+        # lets the Trainer publish stats for the batch it is actually
+        # stepping, not whatever the prep thread touched since.
+        if not training:
+            return None
+        before = self.stats.snapshot()
+        for p in prepared:
+            self.record_accesses(p.values)
+        return self.stats.delta(before)
