@@ -166,7 +166,9 @@ class SparseGrad:
         return len(self.rows)
 
 
-def _shifted(parts: list[np.ndarray], base: np.ndarray, spans: np.ndarray) -> np.ndarray:
+def _shifted(
+    parts: list[np.ndarray], base: np.ndarray, spans: np.ndarray
+) -> np.ndarray:
     """``parts`` laid end to end (part ``k`` at ``spans[k]:spans[k+1]``),
     part ``k`` shifted by ``base[k]`` — written into one output array."""
     if len(parts) == 1 and not base[0]:
@@ -342,9 +344,8 @@ class LookupPlan:
             )
         s0, s1 = self.bounds[k], self.bounds[k + 1]
         grad_out = self._scaled(np.asarray(grad_out, dtype=dtype), s0, s1, pooling)
-        return SparseGrad(
-            rows=sub.rows, values=kernels.expand_apply(sub, self.lengths[s0:s1], grad_out)
-        )
+        summed = kernels.expand_apply(sub, self.lengths[s0:s1], grad_out)
+        return SparseGrad(rows=sub.rows, values=summed)
 
     def slot_rows(self, k: int) -> np.ndarray:
         """Unique table rows slot ``k`` looked up (sorted ascending)."""
@@ -411,6 +412,10 @@ class BatchPlan(Mapping):
         return len(self._tables)
 
 
+#: Values drawn per init chunk (a 512 KiB float64 temporary).
+_INIT_CHUNK = 1 << 16
+
+
 class EmbeddingTable:
     """One embedding lookup table with pooled multi-hot reads.
 
@@ -437,17 +442,21 @@ class EmbeddingTable:
         self.spec = spec
         self.pooling = pooling
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(spec.dim)
-        weight = rng.uniform(-scale, scale, size=(spec.hash_size, spec.dim))
+        shape = (spec.hash_size, spec.dim)
         if storage is None:
-            self.weight = weight.astype(np.dtype(dtype), copy=False)
-        else:
-            if storage.shape != weight.shape or storage.dtype != np.dtype(dtype):
-                raise ValueError(
-                    f"storage {storage.shape} {storage.dtype} does not fit table "
-                    f"{spec.name} {weight.shape} {np.dtype(dtype)}"
-                )
-            storage[...] = weight
-            self.weight = storage
+            storage = np.empty(shape, dtype=dtype)
+        elif storage.shape != shape or storage.dtype != np.dtype(dtype):
+            raise ValueError(
+                f"storage {storage.shape} {storage.dtype} does not fit table "
+                f"{spec.name} {shape} {np.dtype(dtype)}"
+            )
+        # Row chunks draw the same stream as one (hash_size, dim) draw; the
+        # float64 temporary stays small however large the table.
+        step = max(1, _INIT_CHUNK // spec.dim)
+        for lo in range(0, spec.hash_size, step):
+            hi = min(lo + step, spec.hash_size)
+            storage[lo:hi] = rng.uniform(-scale, scale, size=(hi - lo, spec.dim))
+        self.weight = storage
         # A stack of (plan, slot) forward contexts: shared tables are looked
         # up once per feature, and backward pops them in reverse.
         self._saved: list[tuple[LookupPlan, int]] = []
@@ -821,7 +830,9 @@ class EmbeddingBagCollection:
             raise RuntimeError("backward called before forward")
         plans = self._saved.pop()
         per_slot = [
-            lookup.backward([grads[f] for f in slab.features], slab.weight, self.pooling)
+            lookup.backward(
+                [grads[f] for f in slab.features], slab.weight, self.pooling
+            )
             for slab, lookup in zip(self._lookup_slabs, plans.lookups)
         ]
         # Reverse feature order: a shared table receives its features'

@@ -253,7 +253,7 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     order = np.argsort(keys.astype(np.uint16), kind="stable")
     if top < 1 << 16:
         return order
-    high = (keys[order] >> 16).astype(np.uint16)
+    high = (keys >> 16).astype(np.uint16)[order]
     return order[np.argsort(high, kind="stable")]
 
 
@@ -271,7 +271,9 @@ def coalesce_plan(indices: np.ndarray) -> CoalescePlan:
     order = stable_argsort(indices)
     sorted_idx = indices[order]
     # group starts: positions where the sorted row id changes
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
+    starts = np.concatenate(
+        [[0], np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1]
+    )
     rows = sorted_idx[starts]
     indptr = np.concatenate([starts, [len(indices)]])
     return CoalescePlan(rows=rows, order=order, indptr=indptr)
@@ -314,7 +316,10 @@ def expand_apply(
         return grad_out[:0]
     if not _use_matmul(grad_out):
         return coalesce_apply(plan, np.repeat(grad_out, lengths, axis=0))
-    sample_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    # int32 sample ids (when they fit) are the CSR kernel's index width, so
+    # scipy takes them without another copy.
+    sid = np.int32 if len(lengths) < 2**31 else np.int64
+    sample_of = np.repeat(np.arange(len(lengths), dtype=sid), lengths)
     return _indicator_matmul(
         sample_of[plan.order], plan.indptr, grad_out, plan.num_rows
     )

@@ -80,7 +80,8 @@ def reference_step(coll, batch, grads):
         g = np.asarray(grads[f], dtype=table.weight.dtype)
         if coll.pooling is PoolingType.MEAN:
             g = g / np.maximum(p.lengths(), 1).astype(g.dtype)[:, None]
-        sparse[table.spec.name].append(kernels.expand_coalesce(p.values, p.lengths(), g))
+        parts = sparse[table.spec.name]
+        parts.append(kernels.expand_coalesce(p.values, p.lengths(), g))
     popped = {}
     for name, parts in sparse.items():
         if not parts:
@@ -175,14 +176,21 @@ def test_tables_are_views_of_one_slab_per_dim():
     assert {d: len(b) for d, b in bases.items()} == {2: 1, 4: 1, 8: 1}
 
 
-def test_slab_init_consumes_rng_like_standalone_tables():
-    from repro.core import EmbeddingTable
-
-    coll = _collection("mixed_dims", np.float32, PoolingType.SUM, seed=5)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_slab_init_draws_like_one_uniform_per_table(dtype):
+    # tables initialize in row chunks, straight into their slab views; the
+    # values must be those of one (hash_size, dim) draw per table in order
+    specs = (
+        TableSpec("a", hash_size=70_000, dim=1),
+        TableSpec("b", hash_size=9_000, dim=16),
+        TableSpec("c", hash_size=5, dim=3),
+    )
+    coll = EmbeddingBagCollection(specs, np.random.default_rng(5), dtype=dtype)
     rng = np.random.default_rng(5)
-    for spec in coll.specs:
-        alone = EmbeddingTable(spec, rng, dtype=np.float32)
-        assert np.array_equal(alone.weight, coll.tables[spec.name].weight)
+    for spec in specs:
+        scale = 1.0 / np.sqrt(spec.dim)
+        want = rng.uniform(-scale, scale, size=(spec.hash_size, spec.dim))
+        assert np.array_equal(coll.tables[spec.name].weight, want.astype(dtype))
 
 
 def test_per_table_grads_are_views_of_one_coalesced_result():
@@ -268,7 +276,9 @@ def _config(dtype, interaction=InteractionType.DOT, num_tables=3):
 
 
 def _adagrad(m):
-    return Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend)
+    return Adagrad(
+        m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend
+    )
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
