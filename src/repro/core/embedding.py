@@ -22,7 +22,6 @@ table keeps its per-table interface as views into the slab and the plan.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +182,7 @@ def _shifted(
 class LookupPlan:
     """Model-state-independent precompute of one fused pooled lookup.
 
-    A plan covers an ordered list of feature *slots*: the features of one
+    A plan covers an ordered list of feature *slots*: one feature of one
     table (:meth:`EmbeddingTable.plan_forward`) or every feature whose
     table lives in one weight slab (:meth:`EmbeddingBagCollection.
     plan_batch`).  Everything the forward and backward need that does not
@@ -280,12 +279,6 @@ class LookupPlan:
             return [pooled]
         return np.split(pooled, self.bounds[1:-1])
 
-    def _scaled(self, grad_out: np.ndarray, lo: int, hi: int, pooling) -> np.ndarray:
-        if pooling is PoolingType.MEAN:
-            divisor = np.maximum(self.lengths[lo:hi], 1).astype(grad_out.dtype)
-            grad_out = grad_out / divisor[:, None]
-        return grad_out
-
     def backward(
         self, grads: list[np.ndarray], weight: np.ndarray, pooling: PoolingType
     ) -> list[SparseGrad | None]:
@@ -298,6 +291,8 @@ class LookupPlan:
         """
         if self.grad is None:
             raise RuntimeError("backward through a lookup planned for inference")
+        if len(grads) != len(self.prepared):
+            raise ValueError(f"{len(grads)} grads for {len(self.prepared)} slots")
         dtype, dim = weight.dtype, weight.shape[1]
         for p, g in zip(self.prepared, grads):
             if g.shape != (p.batch_size, dim):
@@ -308,7 +303,8 @@ class LookupPlan:
             stacked = np.empty((self.bounds[-1], dim), dtype=dtype)
             for k, g in enumerate(grads):
                 stacked[self.bounds[k] : self.bounds[k + 1]] = g
-        stacked = self._scaled(stacked, 0, len(stacked), pooling)
+        if pooling is PoolingType.MEAN:
+            stacked = stacked / np.maximum(self.lengths, 1).astype(dtype)[:, None]
         summed = kernels.expand_apply(self.grad, self.lengths, stacked)
         out: list[SparseGrad | None] = []
         for lo, hi in zip(self.slot_groups[:-1], self.slot_groups[1:]):
@@ -317,35 +313,6 @@ class LookupPlan:
                 if hi > lo else None
             )
         return out
-
-    def slot_backward(
-        self, k: int, grad_out: np.ndarray, dtype: np.dtype, pooling: PoolingType
-    ) -> SparseGrad | None:
-        """Sparse gradient of slot ``k`` alone (the per-table backward).
-
-        Uses slot ``k``'s share of the grouping — its groups, its stretch
-        of the stable order re-based to the slot's own positions — which
-        equals ``coalesce_plan`` of the slot's stream, so the result is the
-        one :meth:`backward` produces for the slot.
-        """
-        if self.grad is None:
-            raise RuntimeError("backward through a lookup planned for inference")
-        lo, hi = self.slot_groups[k], self.slot_groups[k + 1]
-        if hi == lo:
-            return None
-        if len(self.prepared) == 1:
-            sub = self.grad  # key_base[0] is 0: the keys are the rows
-        else:
-            a, b = self.grad.indptr[lo], self.grad.indptr[hi]
-            sub = kernels.CoalescePlan(
-                rows=self.rows[lo:hi],
-                order=self.grad.order[a:b] - self.offsets[self.bounds[k]],
-                indptr=self.grad.indptr[lo : hi + 1] - a,
-            )
-        s0, s1 = self.bounds[k], self.bounds[k + 1]
-        grad_out = self._scaled(np.asarray(grad_out, dtype=dtype), s0, s1, pooling)
-        summed = kernels.expand_apply(sub, self.lengths[s0:s1], grad_out)
-        return SparseGrad(rows=sub.rows, values=summed)
 
     def slot_rows(self, k: int) -> np.ndarray:
         """Unique table rows slot ``k`` looked up (sorted ascending)."""
@@ -356,18 +323,17 @@ class LookupPlan:
 
 @dataclass(frozen=True)
 class TablePlan:
-    """One table's share of a :class:`LookupPlan`.
+    """One table's share of a batch's lookup plans.
 
-    :meth:`EmbeddingTable.plan_forward` returns one over a plan of the
-    table's own; :meth:`EmbeddingBagCollection.plan_batch` returns one per
-    table as a view into its slab's plan.  Either way it names the
-    table's rows a batch will produce gradients for, and carries the
-    table's per-batch tier accounting.
+    :meth:`EmbeddingTable.plan_forward` returns one over single-feature
+    plans of the table's own; :meth:`EmbeddingBagCollection.plan_batch`
+    returns one per table as a view into its slab's plan.  Either way it
+    names the table's rows a batch will produce gradients for, and carries
+    the table's per-batch tier accounting.
     """
 
-    lookup: LookupPlan
-    #: This table's feature slots in ``lookup``, in feature order.
-    slots: tuple[int, ...]
+    #: ``(lookup, slot)`` of each of this table's features, in feature order.
+    slots: tuple[tuple[LookupPlan, int], ...]
     #: Per-batch tier accounting captured at plan time (tiered tables only;
     #: see :meth:`repro.tiering.store.TieredEmbeddingTable.observe_lookups`).
     tier_delta: object | None = None
@@ -383,7 +349,7 @@ class TablePlan:
         next batch's row plan while the current batch is still computing.
         """
         nonempty = [
-            rows for rows in map(self.lookup.slot_rows, self.slots) if len(rows)
+            rows for rows in (lk.slot_rows(k) for lk, k in self.slots) if len(rows)
         ]
         if not nonempty:
             return np.empty(0, dtype=np.int64)
@@ -392,24 +358,15 @@ class TablePlan:
         return np.unique(np.concatenate(nonempty))
 
 
-class BatchPlan(Mapping):
-    """Every lookup plan of one batch: one :class:`LookupPlan` per weight
-    slab, viewed as a mapping table name -> :class:`TablePlan`."""
+@dataclass(frozen=True)
+class BatchPlan:
+    """Every lookup plan of one batch (:meth:`EmbeddingBagCollection.
+    plan_batch`)."""
 
-    def __init__(
-        self, lookups: tuple[LookupPlan, ...], tables: dict[str, TablePlan]
-    ) -> None:
-        self.lookups = lookups
-        self._tables = tables
-
-    def __getitem__(self, name: str) -> TablePlan:
-        return self._tables[name]
-
-    def __iter__(self):
-        return iter(self._tables)
-
-    def __len__(self) -> int:
-        return len(self._tables)
+    #: One :class:`LookupPlan` per weight slab some feature looks up.
+    lookups: tuple[LookupPlan, ...]
+    #: Table name -> its :class:`TablePlan` view into ``lookups``.
+    tables: dict[str, TablePlan]
 
 
 #: Values drawn per init chunk (a 512 KiB float64 temporary).
@@ -457,9 +414,9 @@ class EmbeddingTable:
             hi = min(lo + step, spec.hash_size)
             storage[lo:hi] = rng.uniform(-scale, scale, size=(hi - lo, spec.dim))
         self.weight = storage
-        # A stack of (plan, slot) forward contexts: shared tables are looked
+        # A stack of single-feature forward plans: shared tables are looked
         # up once per feature, and backward pops them in reverse.
-        self._saved: list[tuple[LookupPlan, int]] = []
+        self._saved: list[LookupPlan] = []
         self.sparse_grads: list[SparseGrad] = []
 
     @property
@@ -523,25 +480,22 @@ class EmbeddingTable:
     ) -> TablePlan:
         """Precompute everything about a lookup that the weights don't touch.
 
-        Truncation, bounds validation, the fused multi-feature CSR layout
-        and (``training=True`` only) the backward grouping are pure
-        functions of the *indices* — this is the work the prefetch pipeline
-        (:mod:`repro.pipeline`) moves off the critical path.  Inference
-        plans skip the backward grouping (a stable sort per lookup stream).
+        Truncation, bounds validation, each feature's CSR layout and
+        (``training=True`` only) its backward grouping are pure functions
+        of the *indices* — this is the work the prefetch pipeline
+        (:mod:`repro.pipeline`) moves off the critical path.  Each feature
+        gets a single-slot :class:`LookupPlan`.  Inference plans skip the
+        backward grouping (a stable sort per lookup stream).
         """
         # _prepare validates bounds (or accepts the safe_bound certificate),
         # so the pooled product may skip its own check.
         prepared = [self._prepare(ind) for ind in features]
-        n = len(prepared)
-        lookup = LookupPlan.build(
-            prepared,
-            np.zeros(n, dtype=np.int64),
-            np.arange(n, dtype=np.int64) * self.hash_size,
-            training=training,
+        zero = np.zeros(1, dtype=np.int64)
+        slots = tuple(
+            (LookupPlan.build([p], zero, zero, training=training), 0)
+            for p in prepared
         )
-        return TablePlan(
-            lookup, tuple(range(n)), self.observe_lookups(prepared, training=training)
-        )
+        return TablePlan(slots, self.observe_lookups(prepared, training=training))
 
     def forward_batched(
         self,
@@ -550,12 +504,9 @@ class EmbeddingTable:
         training: bool = True,
         plan: TablePlan | None = None,
     ) -> list[np.ndarray]:
-        """Pooled lookups for several features sharing this table in one
-        fused kernel dispatch.
+        """Pooled lookups for several features sharing this table.
 
-        All features' ragged layouts are concatenated into a single CSR
-        layout and pooled with one :func:`repro.core.kernels.gather_pool`
-        product.  Saved forward contexts are pushed in feature order, so
+        Saved forward contexts are pushed in feature order, so
         :meth:`backward` (called in reverse feature order) pops them
         correctly.
 
@@ -569,22 +520,21 @@ class EmbeddingTable:
         """
         if plan is None:
             plan = self.plan_forward(features, training=training)
-        lookup = plan.lookup
-        if training and lookup.grad is None:
-            raise ValueError("training forward needs a plan built with training=True")
+        lookups = [lookup for lookup, _ in plan.slots]
         if training:
-            self._saved.extend((lookup, k) for k in plan.slots)
-        return lookup.pool(self.weight, self.pooling)
+            if any(lookup.grad is None for lookup in lookups):
+                raise ValueError(
+                    "training forward needs a plan built with training=True"
+                )
+            self._saved.extend(lookups)
+        return [lookup.pool(self.weight, self.pooling)[0] for lookup in lookups]
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Scatter ``(batch, dim)`` output gradients back into touched rows."""
         if not self._saved:
             raise RuntimeError("backward called before forward")
-        lookup, k = self._saved.pop()
-        batch = lookup.prepared[k].batch_size
-        if grad_out.shape != (batch, self.dim):
-            raise ValueError(f"grad shape {grad_out.shape} != ({batch}, {self.dim})")
-        grad = lookup.slot_backward(k, grad_out, self.weight.dtype, self.pooling)
+        lookup = self._saved.pop()
+        grad = lookup.backward([grad_out], self.weight, self.pooling)[0]
         if grad is not None:
             self.sparse_grads.append(grad)
 
@@ -617,6 +567,11 @@ class _Slab:
     features: list[str]
     row_base: np.ndarray
     key_base: np.ndarray
+
+    def __getstate__(self) -> dict:
+        # Pickled without its weight: the tables' views carry the values and
+        # EmbeddingBagCollection.__setstate__ rebuilds the slab from them.
+        return {**self.__dict__, "weight": None}
 
 
 def _slab_groups(specs: tuple[TableSpec, ...]) -> list[list[TableSpec]]:
@@ -723,6 +678,11 @@ class EmbeddingBagCollection:
             )
             for s in specs
         }
+        for name, table in self.tables.items():
+            if not np.shares_memory(table.weight, storage[name]):
+                raise TypeError(
+                    f"table_factory must keep storage= as table {name}'s weight"
+                )
         # Slabs some feature looks up (a slab of unused tables plans nothing).
         self._lookup_slabs = [s for s in self._slabs if s.features]
         self._slot_of = {
@@ -761,10 +721,24 @@ class EmbeddingBagCollection:
                 slab.weight.shape, dtype=slab.weight.dtype, buffer=buffer, offset=offset
             )
             offset += weight.nbytes
-            slab.weight = weight
-            for name, first in slab.tables:
-                table = self.tables[name]
-                table.weight = weight[first : first + table.hash_size]
+            self._bind(slab, weight)
+
+    def _bind(self, slab: _Slab, weight: np.ndarray) -> None:
+        """Make ``weight`` the slab and each of its tables' weight a view."""
+        slab.weight = weight
+        for name, first in slab.tables:
+            table = self.tables[name]
+            table.weight = weight[first : first + table.hash_size]
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickle and deepcopy copy every array on its own, so the tables'
+        # weights arrive detached from any slab (which is pickled empty):
+        # rebuild each slab from its tables and rebind them as views, or
+        # forward would read one memory while the optimizer updates another.
+        self.__dict__.update(state)
+        for slab in self._slabs:
+            parts = [self.tables[name].weight for name, _ in slab.tables]
+            self._bind(slab, np.concatenate(parts))
 
     def plan_batch(
         self, batch: dict[str, RaggedIndices], *, training: bool = True
@@ -797,9 +771,10 @@ class EmbeddingBagCollection:
         )
         tables: dict[str, TablePlan] = {}
         for table_name, features in self._table_groups:
-            i, _ = self._slot_of[features[0]]
-            slots = tuple(self._slot_of[f][1] for f in features)
-            tables[table_name] = TablePlan(lookups[i], slots, deltas[table_name])
+            slots = tuple(
+                (lookups[i], k) for i, k in map(self._slot_of.__getitem__, features)
+            )
+            tables[table_name] = TablePlan(slots, deltas[table_name])
         return BatchPlan(lookups, tables)
 
     def forward(

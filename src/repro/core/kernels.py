@@ -231,20 +231,17 @@ class CoalescePlan:
         return len(self.rows)
 
 
-#: Below this many keys one comparison sort beats the radix passes' setup.
-_RADIX_MIN = 1024
-
-
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` of int64 ``keys``, faster.
 
     numpy's stable sort is a radix sort only for keys of at most 16 bits
     (timsort otherwise).  Keys in ``[0, 2**32)`` are ordered by two stable
-    uint16 passes instead — low half, then high half (LSD radix).  A
-    stable sort's permutation is unique, so the result is identical;
-    other keys fall back to the plain stable argsort.
+    uint16 passes instead — low half, then high half (LSD radix); keys
+    below ``2**16`` need only the first.  A stable sort's permutation is
+    unique, so the result is identical; other keys fall back to the plain
+    stable argsort.
     """
-    if len(keys) < _RADIX_MIN or keys.min() < 0:
+    if not len(keys) or keys.min() < 0:
         return np.argsort(keys, kind="stable")
     top = int(keys.max())
     if top >= 1 << 32:

@@ -219,7 +219,7 @@ class Trainer:
         """
         for table in self._tiered_tables:
             name = table.spec.name
-            plan = plans.get(name) if plans is not None else None
+            plan = plans.tables.get(name) if plans is not None else None
             if plan is not None and plan.tier_delta is not None:
                 delta = plan.tier_delta
             else:

@@ -604,7 +604,9 @@ class _SparsePipeline:
 
     def _idplan_job(self, gstep: int, plans: BatchPlan) -> None:
         rank, world = self.rank, self.world
-        rows_local = {name: plans[name].touched_rows() for name in plans}
+        rows_local = {
+            name: plan.touched_rows() for name, plan in plans.tables.items()
+        }
         by_rank: list[dict[str, np.ndarray] | None] = [None] * world
         by_rank[rank] = rows_local
         for off in range(1, world):

@@ -142,9 +142,9 @@ class PreparedBatch:
 
     Duck-types the batch surface the model and trainer touch (``dense``,
     ``sparse``, ``labels``, ``size``, ``total_lookups``) and carries
-    ``plans`` — a :class:`~repro.core.embedding.BatchPlan` (also a
-    mapping table name -> :class:`~repro.core.embedding.TablePlan`) —
-    which :meth:`repro.core.model.DLRM.forward` picks up via
+    ``plans`` — a :class:`~repro.core.embedding.BatchPlan` (one lookup
+    plan per weight slab and a :class:`~repro.core.embedding.TablePlan`
+    per table) — which :meth:`repro.core.model.DLRM.forward` picks up via
     ``getattr(batch, "plans", None)``.
     """
 

@@ -84,6 +84,27 @@ class TestCoalesce:
         )
         assert len(rows) == 0 and summed.shape == (0, 3)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 1024, 5000])
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (0, 300),  # one uint16 radix pass
+            (0, 1 << 16),  # keys up to 2**16 - 1: still one pass
+            (1 << 16, 1 << 17),  # every key needs the high pass
+            (0, 1 << 32),  # two passes over the whole range
+            ((1 << 32) - 40, (1 << 32) + 40),  # some keys >= 2**32: fallback
+            (-50, 50),  # negative keys: fallback
+        ],
+    )
+    def test_stable_argsort_is_numpys_stable_argsort(self, n, low, high):
+        rng = np.random.default_rng(n)
+        # draw from few distinct keys (the range's ends among them) so runs
+        # of duplicates test stability
+        distinct = np.append(rng.integers(low, high, size=n // 8), [low, high - 1])
+        keys = rng.choice(distinct, size=n)
+        got = kernels.stable_argsort(keys)
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
 
 class TestGatherPool:
     """Edge cases of the fused forward (``S @ weight``)."""

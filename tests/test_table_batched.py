@@ -13,6 +13,9 @@ no backward plan.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,12 @@ from repro.core.config import (
     TableSpec,
     uniform_tables,
 )
-from repro.core.embedding import EmbeddingBagCollection, RaggedIndices
+from repro.core.embedding import (
+    BatchPlan,
+    EmbeddingBagCollection,
+    EmbeddingTable,
+    RaggedIndices,
+)
 from repro.data import SyntheticDataGenerator
 from repro.distributed.mp import (
     HybridRunConfig,
@@ -156,7 +164,7 @@ def test_collection_matches_per_table_reference(case, dtype, pooling):
             assert out[f].dtype == np.dtype(dtype)
             assert np.array_equal(out[f], ref_out[f]), f
         for name, table in coll.tables.items():
-            touched = plans[name].touched_rows()
+            touched = plans.tables[name].touched_rows()
             got, want = table.pop_grad(), ref_grads[name]
             if want is None:
                 assert got is None and len(touched) == 0
@@ -226,7 +234,7 @@ def test_tiered_collection_stats_match_per_table_plans():
         plans = model.embeddings.plan_batch(batch.sparse)
         for name, table in twin.embeddings.tables.items():
             plan = table.plan_forward([batch.sparse[name]])
-            assert plan.tier_delta == plans[name].tier_delta
+            assert plan.tier_delta == plans.tables[name].tier_delta
     for name, table in model.embeddings.tables.items():
         assert table.stats == twin.embeddings.tables[name].stats
 
@@ -241,19 +249,19 @@ class PerTableCollection(EmbeddingBagCollection):
     coalesces on its own through the per-table interface."""
 
     def plan_batch(self, batch, *, training=True):
-        return {
+        return BatchPlan((), {
             name: self.tables[name].plan_forward(
                 [batch[f] for f in features], training=training
             )
             for name, features in self._table_groups
-        }
+        })
 
     def forward(self, batch, *, training=True, plans=None):
         out = {}
         for name, features in self._table_groups:
             pooled = self.tables[name].forward_batched(
                 [batch[f] for f in features], training=training,
-                plan=None if plans is None else plans[name],
+                plan=None if plans is None else plans.tables[name],
             )
             out.update(zip(features, pooled))
         return out
@@ -301,6 +309,61 @@ def test_pipelined_trainer_matches_per_table_trainer(dtype, interaction):
         assert np.array_equal(ta.weight, tb.weight)
     for pa, pb in zip(batched.dense_parameters(), per_table.dense_parameters()):
         assert np.array_equal(pa.value, pb.value)
+
+
+def _slab_views(coll):
+    """Every table's weight is a view of one of the collection's slabs."""
+    return all(
+        any(np.shares_memory(t.weight, slab.weight) for slab in coll._slabs)
+        for t in coll.tables.values()
+    )
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_copied_model_trains_like_the_original(clone):
+    # pickle and deepcopy copy each array on its own; the copy's tables must
+    # come back as views of its slabs, or Adagrad would update memory that
+    # forward never reads
+    config = _config("float64")
+    model = DLRM(config, rng=0)
+    twin = clone(model)
+    assert _slab_views(twin.embeddings)
+    gen_a = SyntheticDataGenerator(config, rng=3)
+    gen_b = SyntheticDataGenerator(config, rng=3)
+    ra = Trainer(model, _adagrad).train(iter(lambda: gen_a.batch(16), None), max_steps=4)
+    rb = Trainer(twin, _adagrad).train(iter(lambda: gen_b.batch(16), None), max_steps=4)
+    assert ra.loss_history == rb.loss_history
+    for ta, tb in zip(model.embedding_tables(), twin.embedding_tables()):
+        assert np.array_equal(ta.weight, tb.weight)
+
+
+def test_model_and_optimizer_pickled_mid_training_continue_identically():
+    config = _config("float32")
+    model = DLRM(config, rng=0)
+    trainer = Trainer(model, _adagrad)
+    gen = SyntheticDataGenerator(config, rng=3)
+    batches = [gen.batch(16) for _ in range(4)]
+    trainer.train_step(batches[0])
+    model2, opt2 = pickle.loads(pickle.dumps((model, trainer.optimizer)))
+    assert _slab_views(model2.embeddings)
+    assert all(a is b for a, b in zip(opt2.tables, model2.embedding_tables()))
+    trainer2 = Trainer(model2, lambda m: opt2)
+    for batch in batches[1:]:
+        assert trainer.train_step(batch) == trainer2.train_step(batch)
+    for ta, tb in zip(model.embedding_tables(), model2.embedding_tables()):
+        assert np.array_equal(ta.weight, tb.weight)
+
+
+def test_table_factory_must_keep_its_storage():
+    def detached(spec, rng, pooling, dtype, storage):
+        return EmbeddingTable(spec, rng, pooling=pooling, dtype=dtype)
+
+    specs = (TableSpec("a", hash_size=10, dim=4), TableSpec("b", hash_size=5, dim=4))
+    with pytest.raises(TypeError, match="storage="):
+        EmbeddingBagCollection(specs, np.random.default_rng(0), table_factory=detached)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -371,4 +434,4 @@ def test_inference_plan_cannot_drive_a_training_forward():
         coll.forward(batch, plans=plans)
     assert coll.forward(batch, training=False, plans=plans)
     with pytest.raises(RuntimeError):
-        plans["t0"].touched_rows()
+        plans.tables["t0"].touched_rows()
